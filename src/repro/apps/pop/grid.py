@@ -108,23 +108,30 @@ def decompose(processes: int, nx: int, ny: int) -> Tuple[int, int]:
     return best
 
 
+@lru_cache(maxsize=2)
+def _ocean_prefix_sums(nx: int, ny: int, ocean_fraction: float, seed: int) -> np.ndarray:
+    """Summed-area table of the ocean mask: ``[j, i]`` counts the ocean
+    points in rows ``< j`` and columns ``< i``."""
+    grid = PopGrid(nx=nx, ny=ny, levels=1, ocean_fraction=ocean_fraction)
+    ocean = ~grid.land_mask(seed)
+    table = np.zeros((ny + 1, nx + 1), dtype=np.int32)
+    np.cumsum(ocean, axis=0, dtype=np.int32, out=table[1:, 1:])
+    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+    table.flags.writeable = False  # shared by every caller of the cache
+    return table
+
+
 @lru_cache(maxsize=64)
 def _block_ocean_counts(
     nx: int, ny: int, px: int, py: int, ocean_fraction: float, seed: int
 ) -> Tuple[float, float]:
-    grid = PopGrid(nx=nx, ny=ny, levels=1, ocean_fraction=ocean_fraction)
-    ocean = ~grid.land_mask(seed)
-    # Sum ocean points per block with integral arithmetic on the edges.
-    ys = np.linspace(0, ny, py + 1, dtype=int)
-    xs = np.linspace(0, nx, px + 1, dtype=int)
-    counts = np.array(
-        [
-            ocean[ys[j] : ys[j + 1], xs[i] : xs[i + 1]].sum()
-            for j in range(py)
-            for i in range(px)
-        ],
-        dtype=float,
-    )
+    table = _ocean_prefix_sums(nx, ny, ocean_fraction, seed)
+    # Each block's ocean count from the table at its four corners.
+    ys = np.linspace(0, ny, py + 1, dtype=int)[:, None]
+    xs = np.linspace(0, nx, px + 1, dtype=int)[None, :]
+    corners = table[ys, xs]
+    counts = corners[1:, 1:] - corners[:-1, 1:] - corners[1:, :-1] + corners[:-1, :-1]
+    counts = counts.ravel().astype(float)
     return float(counts.mean()), float(counts.max())
 
 

@@ -8,11 +8,18 @@ harness offers two evaluators sharing the machine model:
 * :meth:`HaloBenchmark.run_des` — message-level simulation (used at
   small scale and by the validation tests);
 * :meth:`HaloBenchmark.time_analytic` — static congestion analysis:
-  route every message of a phase over the torus once, find the
-  most-loaded link, and combine the bandwidth term with the per-message
-  overhead/latency terms.  Link loads scale linearly with the halo
-  width, so the routing work is done once per (grid, mapping) and
-  reused across the sweep.
+  load every message of a phase onto its dimension-order route over
+  the torus, find the most-loaded link, and combine the bandwidth term
+  with the per-message overhead/latency terms.  Link loads scale
+  linearly with the halo width, so the analysis is done once per
+  (grid, mapping) and reused across the sweep.
+
+The congestion analysis places all ranks at once
+(:meth:`Mapping.node_table`) and sums link loads with difference arrays
+(:meth:`Torus3D.max_link_load`) instead of walking each route hop by
+hop; the benchmark's torus is always fault-free, which that needs.  One
+message per phase, the longest, is still routed hop by hop as a
+run-time cross-check of the vectorized result.
 
 The mapping sensitivity of Fig. 2c/d emerges from the congestion
 analysis: mappings that fold the virtual process grid badly onto the
@@ -22,7 +29,9 @@ torus concentrate halo traffic onto few links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..machines.modes import Mode, resolve_mode
 from ..machines.specs import MachineSpec
@@ -31,7 +40,7 @@ from ..simmpi.cost import CostModel
 from ..topology.mapping import Mapping
 from ..topology.partition import allocate
 from ..topology.torus import Torus3D
-from .exchange import halo_program, HaloSpec, neighbors2d, WORD_BYTES
+from .exchange import halo_program, HaloSpec, WORD_BYTES
 from .protocols import get_protocol
 
 __all__ = ["HaloBenchmark", "HaloPoint", "best_mapping"]
@@ -96,45 +105,62 @@ class HaloBenchmark:
     # analytic path
     # ------------------------------------------------------------------
     def _analyze_phases(self) -> List[_PhaseShape]:
-        """Route all messages of both phases once (unit halo width)."""
+        """Link loads and message counts of both phases (unit halo width)."""
         if self._phases is not None:
             return self._phases
+        px, py = self.grid
+        ranks = np.arange(self.ranks)
+        i, j = ranks % px, ranks // px
+        nodes = self.mapping.node_table()
+        # neighbors2d for every rank: north (1 unit) and south (2 units),
+        # then west (1) and east (2).
+        peers = (
+            (i + (j - 1) % py * px, i + (j + 1) % py * px),
+            ((i - 1) % px + j * px, (i + 1) % px + j * px),
+        )
+        senders = np.concatenate([ranks, ranks])
+        units = np.repeat([1.0, 2.0], self.ranks)
         phases = []
-        for phase in (0, 1):
-            loads: Dict[tuple, float] = {}
-            max_hops = 0
-            worst_net, worst_shm = 0, 0
-            per_rank_counts: Dict[int, Tuple[int, int]] = {}
-            for rank in range(self.ranks):
-                nb = neighbors2d(rank, self.grid)
-                if phase == 0:
-                    msgs = [(nb["north"], 1.0), (nb["south"], 2.0)]
-                else:
-                    msgs = [(nb["west"], 1.0), (nb["east"], 2.0)]
-                net = shm = 0
-                src_node = self.mapping.node_of(rank)
-                for peer, units in msgs:
-                    dst_node = self.mapping.node_of(peer)
-                    if src_node == dst_node:
-                        shm += 1
-                        continue
-                    net += 1
-                    route = self._torus.route(src_node, dst_node)
-                    max_hops = max(max_hops, len(route))
-                    for key in route:
-                        loads[key] = loads.get(key, 0.0) + units
-                worst_net = max(worst_net, net)
-                worst_shm = max(worst_shm, shm)
+        for first, second in peers:
+            receivers = np.concatenate([first, second])
+            src, dst = nodes[senders], nodes[receivers]
+            # Shared-memory messages (same node) route zero hops, so they
+            # load no link and need no filtering out.
+            max_link_units, max_hops = self._torus.max_link_load(src, dst, units)
+            self._check_longest(senders, receivers, src, dst, max_hops)
+            net_per_rank = (src != dst).any(axis=1).reshape(2, -1).sum(axis=0)
             phases.append(
                 _PhaseShape(
-                    max_link_units=max(loads.values()) if loads else 0.0,
+                    max_link_units=max_link_units,
                     max_hops=max_hops,
-                    net_msgs=worst_net,
-                    shm_msgs=worst_shm,
+                    net_msgs=int(net_per_rank.max()),
+                    shm_msgs=int((2 - net_per_rank).max()),
                 )
             )
         self._phases = phases
         return phases
+
+    def _check_longest(
+        self,
+        senders: np.ndarray,
+        receivers: np.ndarray,
+        src: np.ndarray,
+        dst: np.ndarray,
+        max_hops: int,
+    ) -> None:
+        """Route a phase's longest message hop by hop, from the ranks
+        through :meth:`Mapping.node_of` and :meth:`Torus3D.route`; it
+        must be exactly as long as the vectorized ``max_hops``."""
+        k = int(np.argmax(self._torus.route_lengths(src, dst)))
+        route = self._torus.route(
+            self.mapping.node_of(int(senders[k])),
+            self.mapping.node_of(int(receivers[k])),
+        )
+        if len(route) != max_hops:
+            raise RuntimeError(
+                f"rank {senders[k]} -> {receivers[k]} routes in {len(route)} hops, "
+                f"but the vectorized analysis found {max_hops}"
+            )
 
     def time_analytic(self, words: int, protocol: str = "ISEND_IRECV") -> float:
         """Predicted seconds for one full (two-phase) exchange."""

@@ -3,8 +3,9 @@
 Each benchmark is one *host-timed iteration* of a hot path the
 simulator's wall-clock depends on: event-heap churn in the engine,
 eager and rendezvous p2p in ``simmpi``, software and tree collectives,
-torus routing, Chrome-trace export throughput, and the full-tree lint
-pass (which carries the 5 s CI budget formerly hard-coded in
+torus routing, the paper's analytic HALO congestion and POP imbalance
+models, Chrome-trace export throughput, and the full-tree lint pass
+(which carries the 5 s CI budget formerly hard-coded in
 ``benchmarks/bench_lint.py``).
 
 A benchmark function performs the work once and returns a small
@@ -219,6 +220,50 @@ def _bench_torus_route() -> Dict[str, Any]:
         for dst in torus.nodes():
             hops += len(torus.route(src, dst))
     return {"routes": len(sources) * len(list(torus.nodes())), "hops": hops}
+
+
+# -- analytic paper models ----------------------------------------------------
+
+_HALO_GRID = (128, 64)
+
+
+@benchmark(
+    "halo.congestion",
+    description="cold HALO congestion analysis, 8192 ranks VN 128x64 TXYZ (Fig. 2a)",
+    grid=list(_HALO_GRID),
+    mode="VN",
+    mapping="TXYZ",
+)
+def _bench_halo_congestion() -> Dict[str, Any]:
+    from ..halo.bench import HaloBenchmark
+    from ..machines import BGP
+
+    phases = HaloBenchmark(BGP, _HALO_GRID, mode="VN", mapping="TXYZ")._analyze_phases()
+    return {
+        "max_link_units": [p.max_link_units for p in phases],
+        "max_hops": [p.max_hops for p in phases],
+    }
+
+
+#: The process counts Table 3's POP runs decompose the tenth-degree grid for.
+_TABLE3_PROCESSES = (
+    64, 128, 256, 512, 1024, 2048, 4096, 6144, 7168, 7424, 7680, 8192,
+    16384, 32768, 36384, 38192, 40000,
+)
+
+
+@benchmark(
+    "pop.imbalance",
+    description="POP block imbalance of Table 3's 17 decompositions, cold caches",
+    decompositions=len(_TABLE3_PROCESSES),
+)
+def _bench_pop_imbalance() -> Dict[str, Any]:
+    from ..apps.pop import grid
+
+    grid._block_ocean_counts.cache_clear()
+    grid._ocean_prefix_sums.cache_clear()
+    worst = max(grid.imbalance(grid.TENTH_DEGREE, p).factor for p in _TABLE3_PROCESSES)
+    return {"worst_factor": round(worst, 6)}
 
 
 @benchmark(

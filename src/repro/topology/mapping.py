@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, Iterator, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "Mapping",
     "PREDEFINED_MAPPINGS",
@@ -128,6 +130,20 @@ class Mapping:
         """The (x, y, z) node holding ``rank``."""
         x, y, z, _ = self.coords(rank)
         return (x, y, z)
+
+    def node_table(self) -> np.ndarray:
+        """Every rank's node at once: row ``r`` is :meth:`node_of` ``(r)``.
+
+        An ``(size, 3)`` integer array, the vectorized form of
+        :meth:`node_of` for analyses that place all ranks together.
+        """
+        ext = self.extents
+        cols: Dict[str, np.ndarray] = {}
+        rem = np.arange(self.size)
+        for letter in self.order:
+            cols[letter] = rem % ext[letter]
+            rem = rem // ext[letter]
+        return np.stack([cols["X"], cols["Y"], cols["Z"]], axis=1)
 
     def all_coords(self) -> Iterator[Tuple[int, Tuple[int, int, int, int]]]:
         """Yield ``(rank, (x, y, z, t))`` for every rank."""

@@ -10,7 +10,9 @@ when two messages share a directed link.
 
 For analytic (non-DES) estimates the class also provides hop counts,
 average/max distances, and bisection bandwidth — the quantities behind
-the PTRANS and HALO discussions in the paper.
+the PTRANS and HALO discussions in the paper — and a vectorized
+link-load analysis of whole message sets on the fault-free torus
+(:meth:`Torus3D.max_link_load`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..machines.specs import TorusSpec
 from ..simengine import Engine, SerialLink
@@ -398,6 +402,77 @@ class Torus3D:
         if self.env is None:
             raise RuntimeError("torus was built without an engine (analytic mode)")
         return [self.links[k] for k in self.route(src, dst)]
+
+    # -- vectorized routing (fault-free) -----------------------------------------
+    def _endpoints(self, src, dst) -> Tuple[np.ndarray, np.ndarray]:
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        if src.ndim != 2 or src.shape[1] != 3 or src.shape != dst.shape:
+            raise ValueError("src and dst must be matching (n, 3) coordinate arrays")
+        for ends in (src, dst):
+            if ends.size and ((ends < 0).any() or (ends >= self.shape).any()):
+                raise ValueError(f"route endpoints outside torus {self.shape}")
+        return src, dst
+
+    def _legs(self, src: np.ndarray, dst: np.ndarray, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Direction (True = +) and hops of each route's leg along ``dim``,
+        with :meth:`route`'s choice: the shorter wrap, ties going +."""
+        ext = self.shape[dim]
+        delta = (dst[:, dim] - src[:, dim]) % ext
+        plus = delta <= ext - delta
+        return plus, np.where(plus, delta, ext - delta)
+
+    def route_lengths(self, src, dst) -> np.ndarray:
+        """Hops of the dimension-order route ``src[i] -> dst[i]``, per row."""
+        src, dst = self._endpoints(src, dst)
+        return sum(self._legs(src, dst, dim)[1] for dim in range(3))
+
+    def max_link_load(self, src, dst, weights) -> Tuple[float, int]:
+        """``(busiest directed link's load, longest route in hops)``.
+
+        Message ``i`` goes ``src[i] -> dst[i]`` along the route
+        :meth:`route` takes on this torus and loads every link it
+        crosses with ``weights[i]``; the result equals summing the
+        per-hop routes, without walking them.  A route is one leg per
+        dimension: a run of consecutive links on one ring (a *line*:
+        the other two coordinates fixed) in one direction.  Per (line,
+        direction) a leg adds its weight at its first link and removes
+        it past its last, in a difference array two rings long so no leg
+        wraps; the cumulative sum, with its second ring folded onto the
+        first, is every link's load.
+
+        Only for a fault-free torus: detours around failed links are not
+        dimension-order routes, so a torus with ``failed_links`` raises
+        ``ValueError`` and must be routed per message with :meth:`route`.
+        """
+        if self.failed_links:
+            raise ValueError(
+                "max_link_load needs a fault-free torus; route() handles failed links"
+            )
+        src, dst = self._endpoints(src, dst)
+        weights = np.broadcast_to(np.asarray(weights), (len(src),))
+        cur = src.copy()
+        hops_total = np.zeros(len(src), dtype=np.int64)
+        busiest = 0.0
+        for dim in range(3):
+            ext = self.shape[dim]
+            plus, hops = self._legs(cur, dst, dim)
+            hops_total += hops
+            if ext > 1:
+                a, b = (d for d in range(3) if d != dim)
+                lines = self.num_nodes // ext
+                line = cur[:, a] + self.shape[a] * cur[:, b] + lines * ~plus
+                pos = cur[:, dim]
+                # A - leg from pos crosses the links keyed pos, pos-1, ...
+                first = np.where(plus, pos, (pos - hops + 1) % ext)
+                start = line * (2 * ext) + first
+                diff = np.zeros(4 * lines * ext, dtype=weights.dtype)
+                np.add.at(diff, start, weights)
+                np.add.at(diff, start + hops, -weights)
+                ring = np.cumsum(diff.reshape(2 * lines, 2 * ext), axis=1)
+                busiest = max(busiest, float((ring[:, :ext] + ring[:, ext:]).max()))
+            cur[:, dim] = dst[:, dim]
+        return busiest, int(hops_total.max()) if len(src) else 0
 
     # -- utilisation ------------------------------------------------------------
     def link_utilisation(self) -> Dict[LinkKey, float]:

@@ -1,5 +1,7 @@
 """Mapping tests, including hypothesis round-trip properties."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,3 +111,15 @@ def test_tasks_per_node_honoured(m, data):
 
     counts = Counter(m.node_of(r) for r in range(m.size))
     assert max(counts.values()) == m.tasks_per_node
+
+
+@pytest.mark.parametrize("order", sorted("".join(p) for p in permutations("XYZT")))
+def test_node_table_matches_node_of(order):
+    """Row r of node_table() is node_of(r), for all 24 orders."""
+    for shape, tpn in (((3, 2, 4), 4), ((4, 1, 3), 2), ((2, 3, 1), 1)):
+        m = Mapping(order, shape, tpn)
+        table = m.node_table()
+        assert table.shape == (m.size, 3)
+        assert [tuple(row) for row in table.tolist()] == [
+            m.node_of(r) for r in range(m.size)
+        ]

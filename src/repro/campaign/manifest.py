@@ -39,6 +39,7 @@ from .spec import CampaignSpec, Job
 __all__ = [
     "JobRecord",
     "append_journal",
+    "atomic_write_text",
     "read_journal",
     "write_campaign_file",
     "load_campaign_file",
@@ -120,7 +121,7 @@ class JobRecord:
         return cls(**{k: v for k, v in doc.items() if k in names})
 
 
-def _atomic_write_text(path: pathlib.Path, text: str) -> pathlib.Path:
+def atomic_write_text(path: pathlib.Path, text: str) -> pathlib.Path:
     """temp + ``os.replace``: readers see the old file or the new one,
     never a torn hybrid (modulo filesystem-level tearing, which the
     torn-tolerant readers and the journal rebuild cover)."""
@@ -195,7 +196,7 @@ def write_campaign_file(
             for j in jobs
         ],
     }
-    _atomic_write_text(
+    atomic_write_text(
         pathlib.Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n"
     )
 
@@ -235,7 +236,7 @@ def write_manifest(
 ) -> pathlib.Path:
     """Write the deterministic run index (shared with ``repro run all``)."""
     doc = manifest_doc(records, name=name, code_fingerprint=code_fingerprint)
-    return _atomic_write_text(
+    return atomic_write_text(
         pathlib.Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n"
     )
 

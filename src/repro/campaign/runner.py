@@ -47,13 +47,18 @@ Chaos: pass a :class:`~repro.chaos.ChaosSpec` (or compiled plan) and
 the runner injects the scheduled host faults into itself — worker
 kills, hangs, torn/ioerr writes — while counting every firing
 (``chaos.*`` metrics, :meth:`CampaignRunner.chaos_report`).
+
+The side effects of a finished job — artifact, cache, journal and
+manifest writes — and the triage of a broken or stuck pool live in
+:class:`JobEffects`, which the campaign server
+(:mod:`repro.serve.server`) drives too; only the scheduling loops
+differ.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import os
 import pathlib
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -89,6 +94,7 @@ from .manifest import (
     MANIFEST_FILE,
     JobRecord,
     append_journal,
+    atomic_write_text,
     manifest_doc,
     read_journal,
     write_campaign_file,
@@ -97,7 +103,15 @@ from .manifest import (
 from .spec import CampaignSpec, Job
 from .worker import JobOutcome, classify_failure, execute_job
 
-__all__ = ["CampaignResult", "CampaignRunner", "CAMPAIGN_PID", "pool_map"]
+__all__ = [
+    "CampaignResult",
+    "CampaignRunner",
+    "CAMPAIGN_PID",
+    "JobEffects",
+    "artifact_bytes",
+    "future_outcome",
+    "pool_map",
+]
 
 #: Synthetic Chrome-trace pid hosting the campaign track (one tid per
 #: worker slot), alongside repro.obs's engine/network pids.
@@ -182,9 +196,232 @@ class CampaignResult:
         return "; ".join(parts)
 
 
-def _artifact_bytes(text: str) -> str:
-    """Artifacts keep the classic ``repro run -o`` shape: text + newline."""
+def artifact_bytes(text: str) -> str:
+    """Artifacts keep the classic ``repro run -o`` shape: text + newline —
+    the byte-for-byte contract the chaos drills ``cmp`` against."""
     return text if text.endswith("\n") else text + "\n"
+
+
+def future_outcome(future: Any, job_id: str) -> Optional[JobOutcome]:
+    """The :class:`JobOutcome` a finished pool future carries.
+
+    An exception the worker shipped back becomes a classified failure
+    outcome.  ``None`` means the *pool* broke under the job (a worker
+    died, so every in-flight future fails): the caller must triage the
+    casualties and rebuild the pool rather than settle this job.
+    """
+    try:
+        return future.result()
+    except (KeyboardInterrupt, SystemExit):
+        raise
+    except BaseException as exc:  # noqa: BLE001
+        if is_broken_pool(exc):
+            return None
+        return JobOutcome(
+            job_id=job_id,
+            ok=False,
+            error=str(exc),
+            error_type=type(exc).__name__,
+            classification=classify_failure(exc),
+        )
+
+
+class JobEffects:
+    """The durable side effects and pool triage of finished jobs.
+
+    One implementation for both front doors: the batch
+    :class:`CampaignRunner` and the :class:`repro.serve.server.CampaignServer`
+    write artifacts, cache entries, journal lines and ``manifest.json``
+    and triage pool deaths through this object, so a served campaign
+    and a batch one cannot drift apart.  What differs between them —
+    where counters and chaos firings go — comes in as two callbacks:
+
+    ``count(name, n)``
+        bump a counter (``write_errors`` here; the callers add their own).
+    ``note_chaos(event)``
+        record one chaos event that fired (the injector already marked it).
+
+    ``injector`` is the active :class:`~repro.chaos.ChaosInjector`, or
+    ``None`` when chaos is off.  Pool flights handed to the triage
+    methods need ``.job.job_id``, ``.attempt`` and ``.start``;
+    ``deadline_s``/``deadline_grace`` are the watchdog's limits.
+    """
+
+    def __init__(
+        self,
+        directory: pathlib.Path,
+        cache: ResultCache,
+        count: Callable[[str, int], None],
+        note_chaos: Callable[[Any], None],
+        deadline_s: Optional[float],
+        deadline_grace: float,
+    ) -> None:
+        self.directory = directory
+        self.cache = cache
+        self.count = count
+        self.note_chaos = note_chaos
+        self.deadline_s = deadline_s
+        self.deadline_grace = deadline_grace
+        self.injector: Optional[ChaosInjector] = None
+
+    # -- chaos ---------------------------------------------------------------
+    def note_chaos_keys(self, keys: List[str]) -> None:
+        """Absorb worker-reported firings into the fired set."""
+        if self.injector is None or not keys:
+            return
+        for event in self.injector.note_fired(keys):
+            self.note_chaos(event)
+
+    # -- artifacts -----------------------------------------------------------
+    def ensure_artifact(self, name: str, text: str) -> Tuple[str, bool]:
+        """Write artifact ``name`` unless it already holds these exact bytes.
+
+        Returns ``(digest, wrote)``; the no-touch path is what makes an
+        all-hits rerun leave every file (content *and* mtime) alone.
+        """
+        payload = artifact_bytes(text)
+        digest = text_digest(payload)
+        path = self.directory / name
+        try:
+            if path.read_text(encoding="utf-8") == payload:
+                return digest, False
+        except (OSError, UnicodeDecodeError):
+            pass
+        atomic_write_text(path, payload)
+        return digest, True
+
+    # -- guarded durable writes ----------------------------------------------
+    # All three absorb OSError: a campaign must survive its own disk
+    # hiccoughs.  Journal/cache losses are recoverable by design (the
+    # manifest still records the job; a lost cache entry recomputes; a
+    # torn manifest rebuilds from the journal), and the chaos injector
+    # exercises exactly these paths.
+    def _guarded(
+        self, stream: str, job_id: str, write: Callable[[], Any],
+        tear: Callable[[], Any],
+    ) -> None:
+        event = (
+            self.injector.write_fault(stream, job_id)
+            if self.injector is not None
+            else None
+        )
+        try:
+            if event is None:
+                write()
+                return
+            self.note_chaos(event)
+            if event.kind != "torn":
+                raise OSError(5, f"chaos: injected {stream} I/O error")
+            tear()
+        except OSError:
+            self.count("write_errors", 1)
+
+    def cache_put(self, job: Any, key: str, text: str) -> None:
+        """Cache ``text`` under ``key``; ``job`` (a :class:`Job` or a
+        served job row) names the entry in its metadata."""
+        meta = {"experiment": job.experiment, "params": job.params}
+        self._guarded(
+            "cache", job.job_id,
+            lambda: self.cache.put(key, text, meta=meta),
+            lambda: torn_cache_put(self.cache, key, text, meta=meta),
+        )
+
+    def journal_append(self, record: JobRecord) -> None:
+        path = self.directory / JOURNAL_FILE
+        self._guarded(
+            "journal", record.job_id,
+            lambda: append_journal(path, record),
+            lambda: torn_journal_append(path, record),
+        )
+
+    def manifest_write(
+        self, records: List[JobRecord], name: str, fingerprint: str
+    ) -> None:
+        path = self.directory / MANIFEST_FILE
+        self._guarded(
+            "manifest", "",
+            lambda: write_manifest(
+                path, records, name=name, code_fingerprint=fingerprint
+            ),
+            lambda: torn_text_write(
+                path,
+                json.dumps(
+                    manifest_doc(records, name=name, code_fingerprint=fingerprint),
+                    indent=2, sort_keys=True,
+                ) + "\n",
+            ),
+        )
+
+    # -- pool triage -----------------------------------------------------------
+    def overdue(self, flights: Dict[Any, Any], now: float) -> List[Any]:
+        """Keys of the flights stuck past deadline + grace.
+
+        The watchdog can only kill them by tearing the pool down, and
+        the hard-hang injections behind them count as fired.
+        """
+        if self.deadline_s is None:
+            return []
+        limit = self.deadline_s + self.deadline_grace
+        stuck = [key for key, flight in flights.items() if now - flight.start > limit]
+        injector = self.injector
+        if injector is not None:
+            for key in stuck:
+                flight = flights[key]
+                event = injector.hang_event(flight.job.job_id, flight.attempt)
+                if event is not None:
+                    injector.fire(event)
+                    self.note_chaos(event)
+        return stuck
+
+    def triage(
+        self, casualties: List[Any], reason: str
+    ) -> Tuple[List[Tuple[Any, JobOutcome]], List[Any]]:
+        """Split the flights a pool teardown took down.
+
+        ``reason`` is ``"broken"`` (a worker died) or ``"stuck"`` (the
+        watchdog killed it).  Returns ``(victims, innocents)``: each
+        victim paired with its synthetic failure outcome (it consumes an
+        attempt and goes through the failure policy), innocents to be
+        requeued free of charge.  On a broken pool an unfired kill
+        injection aimed at an in-flight ``(job, attempt)`` is the
+        killer; with no chaos to blame every casualty is a suspect.
+        """
+        victims: List[Any] = []
+        innocents: List[Any] = []
+        injector = self.injector
+        if reason == "broken" and injector is not None:
+            for flight in casualties:
+                event = injector.kill_event(flight.job.job_id, flight.attempt)
+                if event is not None:
+                    injector.fire(event)
+                    self.note_chaos(event)
+                    victims.append(flight)
+                else:
+                    innocents.append(flight)
+        if not victims:
+            victims, innocents = list(casualties), []
+        if reason == "stuck":
+            error = (
+                f"job exceeded its {self.deadline_s or 0.0:g}s deadline "
+                f"(+{self.deadline_grace:g}s grace); worker killed"
+            )
+            error_type, classification = "JobTimeoutError", "timeout"
+        else:
+            error = "worker process died mid-job (pool broken)"
+            error_type, classification = "WorkerKilledError", "crash"
+        return [
+            (
+                flight,
+                JobOutcome(
+                    job_id=flight.job.job_id,
+                    ok=False,
+                    error=error,
+                    error_type=error_type,
+                    classification=classification,
+                ),
+            )
+            for flight in victims
+        ], innocents
 
 
 @dataclass
@@ -204,6 +441,10 @@ class _Flight:
     state: _JobState
     slot: int
     start: float
+
+    @property
+    def attempt(self) -> int:
+        return self.state.attempts + 1
 
 
 class CampaignRunner:
@@ -268,12 +509,9 @@ class CampaignRunner:
         quarantine_after: int = 2,
         chaos: Optional[Union[ChaosSpec, ChaosPlan]] = None,
         retry_seed: int = 0,
-        shards: Optional[int] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be >= 1 (or None to disable)")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be > 0 (or None to disable)")
         if deadline_grace < 0:
@@ -289,21 +527,18 @@ class CampaignRunner:
         self.spec = spec
         self.directory = pathlib.Path(directory)
         self.jobs = jobs
-        self.retries = retries
         self.cache = ResultCache(cache_dir or self.directory / ".cache")
         self.tracer = tracer
         self.deadline_s = deadline_s
         self.deadline_grace = deadline_grace
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.quarantine_after = quarantine_after
         self.chaos = chaos
-        self.retry_seed = retry_seed
-        self.shards = shards
         self._clock: Optional[HostClock] = None
         self._running = 0
         self._plan: Optional[ChaosPlan] = None
-        self._injector: Optional[ChaosInjector] = None
+        self._effects = JobEffects(
+            self.directory, self.cache, self._count, self._note_chaos_event,
+            deadline_s, deadline_grace,
+        )
         self._fingerprint = ""
 
     # -- obs hooks (all no-ops when untraced) -------------------------------
@@ -383,106 +618,11 @@ class CampaignRunner:
             args={"event": event.key()},
         )
 
-    def _note_chaos_keys(self, keys: List[str]) -> None:
-        """Absorb worker-reported firings into the parent's fired set."""
-        if self._injector is None or not keys:
-            return
-        for event in self._injector.note_fired(keys):
-            self._note_chaos_event(event)
-
     def chaos_report(self) -> str:
         """Deterministic summary of the injections that fired last run."""
-        if self._injector is None:
+        if self._effects.injector is None:
             return "chaos: disabled"
-        return self._injector.report()
-
-    # -- artifacts ----------------------------------------------------------
-    def _artifact_path(self, job: Job) -> pathlib.Path:
-        return self.directory / job.artifact_name
-
-    def _ensure_artifact(self, job: Job, text: str) -> Tuple[str, bool]:
-        """Write the artifact unless it already holds these exact bytes.
-
-        Returns ``(digest, wrote)``; the no-touch path is what makes an
-        all-hits rerun leave every file (content *and* mtime) alone.
-        """
-        payload = _artifact_bytes(text)
-        digest = text_digest(payload)
-        path = self._artifact_path(job)
-        try:
-            if path.read_text(encoding="utf-8") == payload:
-                return digest, False
-        except (OSError, UnicodeDecodeError):
-            pass
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(payload, encoding="utf-8")
-        os.replace(tmp, path)
-        return digest, True
-
-    # -- guarded durable writes ---------------------------------------------
-    # All three absorb OSError: a campaign must survive its own disk
-    # hiccoughs.  Journal/cache losses are recoverable by design (the
-    # manifest still records the job; a lost cache entry recomputes),
-    # and the chaos injector exercises exactly these paths.
-    def _cache_put(self, job: Job, key: str, text: str) -> None:
-        meta = {"experiment": job.experiment, "params": job.params}
-        event = (
-            self._injector.write_fault("cache", job.job_id)
-            if self._injector is not None
-            else None
-        )
-        try:
-            if event is not None:
-                self._note_chaos_event(event)
-                if event.kind == "torn":
-                    torn_cache_put(self.cache, key, text, meta=meta)
-                    return
-                raise OSError(5, "chaos: injected cache I/O error")
-            self.cache.put(key, text, meta=meta)
-        except OSError:
-            self._count("write_errors")
-
-    def _journal_append(self, record: JobRecord) -> None:
-        path = self.directory / JOURNAL_FILE
-        event = (
-            self._injector.write_fault("journal", record.job_id)
-            if self._injector is not None
-            else None
-        )
-        try:
-            if event is not None:
-                self._note_chaos_event(event)
-                if event.kind == "torn":
-                    torn_journal_append(path, record)
-                    return
-                raise OSError(5, "chaos: injected journal I/O error")
-            append_journal(path, record)
-        except OSError:
-            self._count("write_errors")
-
-    def _write_manifest(self, ordered: List[JobRecord]) -> None:
-        path = self.directory / MANIFEST_FILE
-        event = (
-            self._injector.write_fault("manifest", "")
-            if self._injector is not None
-            else None
-        )
-        if event is not None:
-            self._note_chaos_event(event)
-            if event.kind == "torn":
-                doc = manifest_doc(
-                    ordered, name=self.spec.name, code_fingerprint=self._fingerprint
-                )
-                torn_text_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-                return
-            self._count("write_errors")
-            return
-        try:
-            write_manifest(
-                path, ordered, name=self.spec.name, code_fingerprint=self._fingerprint
-            )
-        except OSError:
-            self._count("write_errors")
+        return self._effects.injector.report()
 
     # -- bookkeeping --------------------------------------------------------
     def _record(
@@ -502,7 +642,9 @@ class CampaignRunner:
             status = "done" if outcome.ok else "failed"
         backoff = list(backoff or [])
         if status in ("done", "degraded"):
-            digest, wrote = self._ensure_artifact(job, outcome.text)
+            digest, wrote = self._effects.ensure_artifact(
+                job.artifact_name, outcome.text
+            )
             if wrote:
                 result.artifacts_written += 1
             record = JobRecord(
@@ -535,7 +677,7 @@ class CampaignRunner:
             if status == "failed":
                 self._count("failures")
         records[job.job_id] = record
-        self._journal_append(record)
+        self._effects.journal_append(record)
         return record
 
     # -- the pass -----------------------------------------------------------
@@ -560,13 +702,13 @@ class CampaignRunner:
         self._trace_setup()
 
         if self.chaos is None:
-            self._plan, self._injector = None, None
+            self._plan, self._effects.injector = None, None
         else:
             plan = self.chaos
             if not isinstance(plan, ChaosPlan):
                 plan = plan.compile([j.job_id for j in jobs])
             self._plan = plan
-            self._injector = ChaosInjector(plan)
+            self._effects.injector = ChaosInjector(plan)
 
         fingerprint = self._fingerprint = code_fingerprint()
         result = CampaignResult()
@@ -628,9 +770,9 @@ class CampaignRunner:
                 )
             ordered.append(record)
         result.records = ordered
-        self._write_manifest(ordered)
-        if self._injector is not None:
-            result.chaos_fired = self._injector.fired_keys()
+        self._effects.manifest_write(ordered, self.spec.name, fingerprint)
+        if self._effects.injector is not None:
+            result.chaos_fired = self._effects.injector.fired_keys()
         return result
 
     # -- failure policy -----------------------------------------------------
@@ -712,10 +854,7 @@ class CampaignRunner:
         key = cache_key(job.experiment, fallback, self._fingerprint)
         text = self.cache.get(key)
         if text is None:
-            outcome = execute_job(
-                job.job_id, job.experiment, fallback, in_worker=False,
-                shards=self.shards,
-            )
+            outcome = execute_job(job.job_id, job.experiment, fallback, in_worker=False)
             if not outcome.ok:
                 # Fallback failed too: record the original failure.
                 self._record(
@@ -724,7 +863,7 @@ class CampaignRunner:
                 )
                 return
             text = outcome.text
-            self._cache_put(job, key, text)
+            self._effects.cache_put(job, key, text)
         self._count("degraded")
         self._record(
             result, records, job, JobOutcome(job.job_id, True, text),
@@ -741,7 +880,7 @@ class CampaignRunner:
         outcome: JobOutcome,
         state: _JobState,
     ) -> None:
-        self._cache_put(job, keys[job.job_id], outcome.text)
+        self._effects.cache_put(job, keys[job.job_id], outcome.text)
         result.executed.append(job.job_id)
         self._count("executed")
         self._record(
@@ -770,9 +909,8 @@ class CampaignRunner:
                     attempt=state.attempts + 1,
                     deadline_s=self.deadline_s,
                     in_worker=False,
-                    shards=self.shards,
                 )
-                self._note_chaos_keys(outcome.chaos)
+                self._effects.note_chaos_keys(outcome.chaos)
                 self._trace_job(job, 0, start, outcome, state.attempts + 1)
                 self._mark_running(-1)
                 queued: List[float] = []
@@ -783,10 +921,6 @@ class CampaignRunner:
                 if not queued:
                     break
                 host_sleep(queued[0])
-
-    def _fresh_pool(self, pool: ProcessPoolExecutor) -> ProcessPoolExecutor:
-        """Hard teardown + rebuild (see :mod:`repro.campaign.pool`)."""
-        return fresh_pool(pool, self.jobs)
 
     def _compute_pool(
         self,
@@ -819,49 +953,10 @@ class CampaignRunner:
             nonlocal pool, slots
             result.pool_rebuilds += 1
             self._count("pool_rebuilds")
-            victims: List[_Flight] = []
-            innocents: List[_Flight] = []
-            if reason == "broken" and self._injector is not None:
-                # Attribute the death: an unfired kill injection aimed
-                # at an in-flight (job, attempt) is the killer.
-                for flight in casualties:
-                    event = self._injector.kill_event(
-                        flight.job.job_id, flight.state.attempts + 1
-                    )
-                    if event is not None:
-                        self._injector.fire(event)
-                        self._note_chaos_event(event)
-                        victims.append(flight)
-                    else:
-                        innocents.append(flight)
-            if not victims:
-                # No chaos to blame (or chaos off): every in-flight job
-                # is a suspect — each wears the crash on its record.
-                victims, innocents = casualties, []
-            for flight in victims:
-                if reason == "stuck":
-                    deadline = self.deadline_s or 0.0
-                    outcome = JobOutcome(
-                        job_id=flight.job.job_id,
-                        ok=False,
-                        error=(
-                            f"job exceeded its {deadline:g}s deadline "
-                            f"(+{self.deadline_grace:g}s grace); worker killed"
-                        ),
-                        error_type="JobTimeoutError",
-                        classification="timeout",
-                    )
-                else:
-                    outcome = JobOutcome(
-                        job_id=flight.job.job_id,
-                        ok=False,
-                        error="worker process died mid-job (pool broken)",
-                        error_type="WorkerKilledError",
-                        classification="crash",
-                    )
+            victims, innocents = self._effects.triage(casualties, reason)
+            for flight, outcome in victims:
                 self._trace_job(
-                    flight.job, flight.slot, flight.start, outcome,
-                    flight.state.attempts + 1,
+                    flight.job, flight.slot, flight.start, outcome, flight.attempt
                 )
                 self._settle(
                     result, records, keys, flight.job, flight.state, outcome,
@@ -871,7 +966,7 @@ class CampaignRunner:
                 # The pool death wasn't theirs: resubmit without
                 # consuming an attempt or charging a kill.
                 ready.append((flight.job, flight.state))
-            pool = self._fresh_pool(pool)
+            pool = fresh_pool(pool, self.jobs)
             slots = list(range(self.jobs))
 
         try:
@@ -895,7 +990,6 @@ class CampaignRunner:
                             state.attempts + 1,
                             self.deadline_s,
                             True,
-                            self.shards,
                         )
                     except Exception:  # pool died between batches
                         self._mark_running(-1)
@@ -929,25 +1023,13 @@ class CampaignRunner:
                     flight = in_flight.pop(fut)
                     self._mark_running(-1)
                     slots.insert(0, flight.slot)
-                    try:
-                        outcome = fut.result()
-                    except KeyboardInterrupt:
-                        raise
-                    except BaseException as exc:  # noqa: BLE001
-                        if is_broken_pool(exc):
-                            broken.append(flight)
-                            continue
-                        outcome = JobOutcome(
-                            job_id=flight.job.job_id,
-                            ok=False,
-                            error=str(exc),
-                            error_type=type(exc).__name__,
-                            classification=classify_failure(exc),
-                        )
-                    self._note_chaos_keys(outcome.chaos)
+                    outcome = future_outcome(fut, flight.job.job_id)
+                    if outcome is None:
+                        broken.append(flight)
+                        continue
+                    self._effects.note_chaos_keys(outcome.chaos)
                     self._trace_job(
-                        flight.job, flight.slot, flight.start, outcome,
-                        flight.state.attempts + 1,
+                        flight.job, flight.slot, flight.start, outcome, flight.attempt
                     )
                     self._settle(
                         result, records, keys, flight.job, flight.state, outcome,
@@ -961,30 +1043,16 @@ class CampaignRunner:
                     rebuild(broken, reason="broken")
                     continue
                 # Watchdog: kill workers stuck past deadline + grace.
-                if self.deadline_s is not None and in_flight:
-                    limit = self.deadline_s + self.deadline_grace
-                    now = self._now()
-                    stuck = [
-                        fut
-                        for fut, flight in in_flight.items()
-                        if now - flight.start > limit
-                    ]
-                    if stuck:
-                        casualties = [in_flight.pop(fut) for fut in stuck]
-                        for flight in casualties:
-                            self._mark_running(-1)
-                            if self._injector is not None:
-                                event = self._injector.hang_event(
-                                    flight.job.job_id, flight.state.attempts + 1
-                                )
-                                if event is not None:
-                                    self._injector.fire(event)
-                                    self._note_chaos_event(event)
-                        survivors = [in_flight.pop(fut) for fut in list(in_flight)]
-                        for flight in survivors:
-                            self._mark_running(-1)
-                            ready.append((flight.job, flight.state))
-                        rebuild(casualties, reason="stuck")
+                stuck = self._effects.overdue(in_flight, self._now())
+                if stuck:
+                    casualties = [in_flight.pop(fut) for fut in stuck]
+                    for flight in casualties:
+                        self._mark_running(-1)
+                    survivors = [in_flight.pop(fut) for fut in list(in_flight)]
+                    for flight in survivors:
+                        self._mark_running(-1)
+                        ready.append((flight.job, flight.state))
+                    rebuild(casualties, reason="stuck")
         finally:
             teardown_pool(pool)
 

@@ -21,7 +21,6 @@ Usage::
     python -m repro pdes list            # sharded-DES scenarios
     python -m repro pdes run torus-ring --shards 4 -o pdes/   # sharded run
     python -m repro pdes run halo --shards 8 --backend process --bare
-    python -m repro run fig2 --shards 4  # ambient sharding for experiments
     python -m repro trace pop            # traced DES scenario -> Chrome trace
     python -m repro trace pingpong --param nbytes=65536
     python -m repro faults link-kill     # fault-injection scenario
@@ -92,10 +91,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         return 2
     jobs = getattr(args, "jobs", 1) or 1
-    shards = getattr(args, "shards", None)
-    if shards is not None and shards < 1:
-        print("repro run: --shards must be >= 1", file=sys.stderr)
-        return 2
     if args.experiment == "all" and args.output:
         # `run all -o` rides the campaign layer: worker pool, result
         # cache under <out>/.cache, and a manifest.json index.
@@ -119,10 +114,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             outcomes = list(
                 ex(
                     _execute_job_tuple,
-                    [
-                        (j.job_id, j.experiment, j.params, shards)
-                        for j in expanded
-                    ],
+                    [(j.job_id, j.experiment, j.params) for j in expanded],
                 )
             )
         status = 0
@@ -140,22 +132,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from .obs import Tracer, tracing
 
         tracer = Tracer()
-    sharded_fallbacks = 0
     for eid in ids:
         try:
-            with _maybe_sharding(shards):
-                if tracer is not None:
-                    with tracing(tracer):
-                        text = run_experiment(eid, **params)
-                else:
+            if tracer is not None:
+                with tracing(tracer):
                     text = run_experiment(eid, **params)
+            else:
+                text = run_experiment(eid, **params)
         except KeyError as exc:
             print(exc, file=sys.stderr)
             return 2
-        if shards is not None and shards > 1:
-            from .pdes import fallback_count
-
-            sharded_fallbacks += fallback_count()
         if outdir:
             path = outdir / f"{eid}.txt"
             path.write_text(text + "\n")
@@ -163,11 +149,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             print(text)
             print()
-    if shards is not None and shards > 1:
-        print(
-            f"pdes: ambient sharding x{shards}; "
-            f"{sharded_fallbacks} single-engine fallback(s)"
-        )
     if tracer is not None:
         from .obs import write_chrome_trace, write_metrics
 
@@ -178,24 +159,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _maybe_sharding(shards: Optional[int]):
-    """Ambient sharding context when ``--shards`` > 1, else a no-op."""
-    if shards is not None and shards > 1:
-        from .pdes import sharding
-
-        return sharding(shards)
-    import contextlib
-
-    return contextlib.nullcontext()
-
-
 def _execute_job_tuple(job):
-    """Picklable shim: ``pool_map`` feeds (id, experiment, params[, shards])."""
+    """Picklable shim: ``pool_map`` feeds (id, experiment, params)."""
     from .campaign import execute_job
 
-    job_id, experiment, params = job[:3]
-    shards = job[3] if len(job) > 3 else None
-    return execute_job(job_id, experiment, params, shards=shards)
+    return execute_job(*job)
 
 
 def _run_all_campaign(args: argparse.Namespace, params: Dict[str, float], jobs: int) -> int:
@@ -213,10 +181,7 @@ def _run_all_campaign(args: argparse.Namespace, params: Dict[str, float], jobs: 
         from .obs import Tracer
 
         tracer = Tracer()
-    runner = CampaignRunner(
-        spec, outdir, jobs=jobs, tracer=tracer,
-        shards=getattr(args, "shards", None),
-    )
+    runner = CampaignRunner(spec, outdir, jobs=jobs, tracer=tracer)
     try:
         result = _run_campaign(runner, tracer)
     except SpecError as exc:
@@ -394,7 +359,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         backoff_base=args.backoff_base,
         quarantine_after=args.quarantine_after,
         chaos=chaos,
-        shards=args.shards,
     )
     try:
         result = _run_campaign(runner, tracer, max_jobs=args.max_jobs, fresh=args.fresh)
@@ -611,7 +575,6 @@ def _cmd_serve_start(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             chaos=chaos,
             tracer=tracer,
-            shards=args.shards,
         )
     )
     try:
@@ -993,12 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for 'run all' (default: 1; with -o the "
              "run rides the campaign cache and emits a manifest.json)",
     )
-    p_run.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run eligible DES simulations through the sharded engine "
-             "(N conservative-lookahead shards; ineligible runs fall "
-             "back to one engine, results byte-identical either way)",
-    )
     p_run.set_defaults(fn=_cmd_run)
 
     p_camp = sub.add_parser(
@@ -1074,11 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_crun.add_argument(
         "--metrics", metavar="FILE", help="write the campaign.* metrics JSON"
-    )
-    p_crun.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run each job's eligible DES simulations sharded N ways "
-             "(execution policy only - cached results stay valid)",
     )
     p_crun.set_defaults(fn=_cmd_campaign_run)
 
@@ -1212,10 +1164,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sstart.add_argument(
         "--metrics", metavar="FILE", help="write the serve.* metrics JSON on exit"
-    )
-    p_sstart.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run each job's eligible DES simulations sharded N ways",
     )
     p_sstart.set_defaults(fn=_cmd_serve_start)
 

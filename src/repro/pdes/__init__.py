@@ -7,20 +7,16 @@ cross-shard message needs before taking effect), and deterministically
 merges the per-shard streams so sharded runs are **byte-identical** to
 the single-engine run.
 
-Front doors:
+The front door is ``repro.pdes.run("halo", shards=4,
+backend="process")`` (CLI: ``repro pdes run``): run a named scenario
+sharded and get canonical artifacts.
 
-* ``repro.pdes.run("halo", shards=4, backend="process")`` — run a
-  named scenario sharded and get canonical artifacts.
-* ``with repro.pdes.sharding(4): cluster.run(program)`` — ambient
-  sharding for arbitrary programs; ineligible configurations fall back
-  to the single engine (see :func:`fallback_count`).
-
-Only the dependency-free ambient/error surface is imported eagerly;
-everything touching :mod:`repro.simmpi` loads lazily so ``import
-repro.simmpi`` → ``repro.pdes.ambient`` does not recurse.
+Only the dependency-free error surface is imported eagerly; everything
+touching :mod:`repro.simmpi` loads lazily, so importing this package
+stays cheap and :func:`run` resolves through :func:`__getattr__` on
+each access.
 """
 
-from .ambient import active_shards, fallback_count, sharding
 from .errors import (
     LinkConflictError,
     PdesError,
@@ -29,16 +25,12 @@ from .errors import (
 )
 
 __all__ = [
-    "active_shards",
-    "fallback_count",
-    "sharding",
     "PdesError",
     "LinkConflictError",
     "ShardDeadlockError",
     "ShardUnsupportedError",
     # lazy (see __getattr__):
     "run",
-    "maybe_run_sharded",
     "PdesResult",
     "PdesStats",
     "ShardPlan",
@@ -53,7 +45,6 @@ __all__ = [
 
 _LAZY = {
     "run": ("repro.pdes.runner", "run"),
-    "maybe_run_sharded": ("repro.pdes.runner", "maybe_run_sharded"),
     "PdesResult": ("repro.pdes.runner", "PdesResult"),
     "PdesStats": ("repro.pdes.sync", "PdesStats"),
     "ShardPlan": ("repro.pdes.plan", "ShardPlan"),

@@ -1,24 +1,13 @@
-"""Top-level entry points for sharded runs.
+"""The entry point for sharded runs.
 
-Two front doors:
-
-* :func:`run` executes a named :mod:`~repro.pdes.scenarios` scenario at
-  a given shard count and returns canonical artifacts.  ``shards=1`` is
-  the *reference path*: a plain single-engine
-  :class:`~repro.simmpi.comm.Cluster` run, instrumented with the same
-  booking/send recorders and exported through the same canonicalizers —
-  so comparing a sharded run against it proves byte identity against
-  the real single-engine code path, not against the sharded machinery
-  at N=1.
-* :func:`maybe_run_sharded` is the ambient interception hook
-  :meth:`Cluster.run <repro.simmpi.comm.Cluster.run>` calls when a
-  ``pdes.sharding(N)`` context is active.  It shards *arbitrary* rank
-  programs (inline backend — nothing crosses a process boundary, so
-  nothing needs pickling) and degrades gracefully: any configuration
-  the sharded engine cannot reproduce exactly — attached telemetry,
-  fault injection, hardware collectives, link-serialization conflicts —
-  records a fallback and returns ``None``, and the caller runs
-  unsharded as if the context were not there.
+:func:`run` executes a named :mod:`~repro.pdes.scenarios` scenario at a
+given shard count and returns canonical artifacts.  ``shards=1`` is the
+*reference path*: a plain single-engine
+:class:`~repro.simmpi.comm.Cluster` run, instrumented with the same
+booking/send recorders and exported through the same canonicalizers —
+so comparing a sharded run against it proves byte identity against the
+real single-engine code path, not against the sharded machinery at
+N=1.
 """
 
 from __future__ import annotations
@@ -27,9 +16,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import Tracer
-from ..simmpi.comm import Cluster, ClusterResult
+from ..simmpi.comm import Cluster
 from .backend import InlineBackend, ProcessBackend
-from .errors import LinkConflictError, ShardUnsupportedError
+from .errors import LinkConflictError
 from .merge import (
     canonical_events_jsonl,
     canonical_metrics_json,
@@ -43,7 +32,7 @@ from .scenarios import get_scenario, PdesScenario
 from .shard import record_link_bookings, ShardReport, ShardRuntime
 from .sync import drive, PdesStats
 
-__all__ = ["PdesResult", "run", "maybe_run_sharded"]
+__all__ = ["PdesResult", "run"]
 
 BACKENDS = ("inline", "process")
 
@@ -193,93 +182,3 @@ def run(
         events_jsonl=canonical_events_jsonl(reports) if observe else "",
         reports=list(reports),
     )
-
-
-def maybe_run_sharded(
-    cluster: Cluster,
-    program: Any,
-    args: Tuple[Any, ...],
-    shards: int,
-    run_kwargs: Dict[str, Any],
-) -> Optional[ClusterResult]:
-    """Try to serve one :meth:`Cluster.run` call sharded.
-
-    Returns a :class:`ClusterResult` (with the synchronizer's
-    :class:`PdesStats` attached as ``result.pdes_stats``) when the run
-    completed sharded and conflict-free, or ``None`` — after
-    :func:`repro.pdes.ambient.note_fallback` — when the configuration
-    is outside what sharding can reproduce exactly.  Callers fall back
-    to the normal single-engine path on ``None``.
-    """
-    from ..obs import active_tracer
-    from ..perf.profiler import active_profiler
-    from .ambient import note_fallback
-
-    def fallback() -> None:
-        note_fallback()
-        return None
-
-    if shards < 2:
-        return fallback()
-    # Features the sharded engine cannot reproduce byte-exactly (or at
-    # all): any attached/ambient telemetry, sanitizing, fault injection,
-    # recovery, budgets, profiling, timelines, adaptive routing,
-    # reliability models — and a cluster whose engine already ran.
-    if any(run_kwargs.get(k) for k in ("sanitize", "trace", "profile")):
-        return fallback()
-    if any(run_kwargs.get(k) is not None for k in ("faults", "recovery", "budget")):
-        return fallback()
-    if (
-        active_tracer() is not None
-        or active_profiler() is not None
-        or cluster.tracer is not None
-        or cluster.fault_injector is not None
-        or cluster.recovery is not None
-        or cluster.timeline is not None
-        or cluster.sanitizer is not None
-        or cluster.transport.adaptive_routing
-        or cluster.transport.reliability is not None
-        or getattr(cluster, "shard_id", None) is not None
-        or cluster.env.now != 0.0
-        or cluster.env.pending != 0
-    ):
-        return fallback()
-    try:
-        plan = ShardPlan.build(
-            cluster.machine,
-            cluster.ranks,
-            shards,
-            mode=cluster.mode.mode,
-            mapping=cluster.mapping.order,
-            partition=cluster.partition,
-        )
-    except ValueError:
-        return fallback()
-    stats = PdesStats()
-    try:
-        backend = InlineBackend(
-            [
-                ShardRuntime(plan, shard_id, program, args)
-                for shard_id in range(plan.shards)
-            ]
-        )
-        try:
-            drive(backend, plan, stats)
-            reports = backend.reports()
-        finally:
-            backend.close()
-    except ShardUnsupportedError:
-        return fallback()
-    conflicts = find_link_conflicts(reports)
-    if conflicts:
-        # Cross-shard link contention: replica timing may have diverged
-        # from the single engine, so the exact path must decide.
-        return fallback()
-    result = ClusterResult(
-        elapsed=merged_elapsed(reports),
-        returns=merged_returns(reports, cluster.ranks),
-        messages=sum(r.messages for r in reports),
-        bytes_sent=sum(r.bytes_sent for r in reports),
-    )
-    result.pdes_stats = stats
-    return result

@@ -19,10 +19,13 @@ SIGKILLed at any instant.  Every accepted job lives in a single-
 transaction SQLite row (:class:`~repro.serve.store.JobStore`) before
 the 201 is sent; artifacts are written temp + ``os.replace``; terminal
 outcomes append to the same fsync'd, torn-tolerant journal the batch
-runner keeps.  On restart the store requeues every lease the dead
-process held, the chaos fired-set reloads from SQLite (a ``server_kill``
-never fires twice), and completed work is never recomputed — resubmits
-dedupe onto done rows and cache hits.
+runner keeps.  Artifact, cache, journal and manifest writes and the
+triage of a broken or stuck pool are not a copy of the batch runner's:
+both drive one :class:`~repro.campaign.runner.JobEffects`.  On restart
+the store requeues every lease the dead process held, the chaos
+fired-set reloads from SQLite (a ``server_kill`` never fires twice),
+and completed work is never recomputed — resubmits dedupe onto done
+rows and cache hits.
 
 Side-effect idempotency: results commit under a **fencing token**.  A
 worker whose lease expired can finish and try to report — the store
@@ -46,19 +49,13 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..campaign.cache import ResultCache, cache_key, code_fingerprint, text_digest
-from ..campaign.manifest import (
-    JOURNAL_FILE,
-    MANIFEST_FILE,
-    JobRecord,
-    append_journal,
-    write_manifest,
-)
+from ..campaign.manifest import JobRecord, atomic_write_text
 from ..campaign.policy import FailurePolicy
-from ..campaign.pool import fresh_pool, is_broken_pool, teardown_pool
+from ..campaign.pool import fresh_pool, teardown_pool
+from ..campaign.runner import JobEffects, artifact_bytes, future_outcome
 from ..campaign.spec import CampaignSpec, SpecError
-from ..campaign.worker import JobOutcome, classify_failure, execute_job
+from ..campaign.worker import JobOutcome, execute_job
 from ..chaos import ChaosEvent, ChaosInjector, ChaosPlan, ChaosSpec
-from ..chaos.inject import torn_cache_put, torn_journal_append
 from ..perf.hostclock import HostClock, host_sleep
 from .leases import LeaseManager
 from .protocol import (
@@ -87,18 +84,6 @@ DB_FILE = "serve.db"
 #: Discovery file: where a running server says it listens (host, port,
 #: pid).  Written atomically on bind; CLI clients read it to connect.
 SERVER_FILE = "server.json"
-
-
-def _artifact_bytes(text: str) -> str:
-    """Identical shaping to the batch runner: text + trailing newline —
-    the byte-for-byte contract the chaos drill ``cmp``s against."""
-    return text if text.endswith("\n") else text + "\n"
-
-
-def _atomic_write(path: pathlib.Path, payload: str) -> None:
-    tmp = path.with_suffix(f"{path.suffix}.tmp.{os.getpid()}")
-    tmp.write_text(payload, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def campaign_id(spec: CampaignSpec) -> str:
@@ -135,9 +120,6 @@ class ServerConfig:
     max_backlog: int = 64
     shed_retry_after: float = 1.0
     tick_s: float = 0.05
-    #: >1 runs each job inside an ambient ``pdes.sharding`` context
-    #: (eligible DES runs shard; everything else falls back unsharded)
-    shards: Optional[int] = None
     cache_dir: Optional[Union[str, pathlib.Path]] = None
     chaos: Optional[Union[ChaosSpec, ChaosPlan]] = None
     tracer: Optional[Any] = None
@@ -207,7 +189,10 @@ class CampaignServer:
         self._stop: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._manifest_dirty = True
-        self._injector: Optional[ChaosInjector] = None
+        self._effects = JobEffects(
+            self.directory, self.cache, self._count, self._note_chaos_fired,
+            config.deadline_s, config.deadline_grace,
+        )
         self._plan: Optional[ChaosPlan] = None
         recovered = self.store.recover()
         if recovered:
@@ -257,15 +242,17 @@ class CampaignServer:
 
     def _install_plan(self, plan: ChaosPlan, persist: bool) -> None:
         self._plan = plan
-        self._injector = ChaosInjector(plan)
-        self._injector.note_fired(self.store.chaos_fired_keys())
+        self._effects.injector = ChaosInjector(plan)
+        self._effects.injector.note_fired(self.store.chaos_fired_keys())
         if persist:
             doc = {"seed": plan.seed, "events": [asdict(e) for e in plan.events]}
             self.store.set_meta("chaos_plan", json.dumps(doc, sort_keys=True))
 
     def _compile_chaos(self, job_ids: List[str]) -> None:
         """First submission compiles a ChaosSpec against real job ids."""
-        if self._injector is not None or not isinstance(self.config.chaos, ChaosSpec):
+        if self._effects.injector is not None or not isinstance(
+            self.config.chaos, ChaosSpec
+        ):
             return
         self._install_plan(self.config.chaos.compile(job_ids), persist=True)
 
@@ -282,64 +269,15 @@ class CampaignServer:
                 args={"event": event.key()},
             )
 
-    def _note_chaos_keys(self, keys: List[str]) -> None:
-        if self._injector is None or not keys:
-            return
-        for event in self._injector.note_fired(keys):
-            self._note_chaos_fired(event)
-
-    # -- durable side effects ----------------------------------------------
+    # -- durable side effects (shared with the batch runner) ---------------
     def _ensure_artifact(self, job_id: str, text: str) -> Tuple[str, str]:
         """Write ``<job_id>.txt`` unless it already holds these bytes;
         returns ``(digest, artifact_name)``."""
-        payload = _artifact_bytes(text)
-        digest = text_digest(payload)
         name = f"{job_id}.txt"
-        path = self.directory / name
-        try:
-            if path.read_text(encoding="utf-8") == payload:
-                return digest, name
-        except (OSError, UnicodeDecodeError):
-            pass
-        _atomic_write(path, payload)
-        self._count("artifacts_written")
+        digest, wrote = self._effects.ensure_artifact(name, text)
+        if wrote:
+            self._count("artifacts_written")
         return digest, name
-
-    def _cache_put(self, job: JobRow, text: str) -> None:
-        meta = {"experiment": job.experiment, "params": job.params}
-        event = (
-            self._injector.write_fault("cache", job.job_id)
-            if self._injector is not None
-            else None
-        )
-        try:
-            if event is not None:
-                self._note_chaos_fired(event)
-                if event.kind == "torn":
-                    torn_cache_put(self.cache, job.key, text, meta=meta)
-                    return
-                raise OSError(5, "chaos: injected cache I/O error")
-            self.cache.put(job.key, text, meta=meta)
-        except OSError:
-            self._count("write_errors")
-
-    def _journal(self, record: JobRecord) -> None:
-        path = self.directory / JOURNAL_FILE
-        event = (
-            self._injector.write_fault("journal", record.job_id)
-            if self._injector is not None
-            else None
-        )
-        try:
-            if event is not None:
-                self._note_chaos_fired(event)
-                if event.kind == "torn":
-                    torn_journal_append(path, record)
-                    return
-                raise OSError(5, "chaos: injected journal I/O error")
-            append_journal(path, record)
-        except OSError:
-            self._count("write_errors")
 
     def _manifest_records(self) -> List[JobRecord]:
         out: List[JobRecord] = []
@@ -366,21 +304,14 @@ class CampaignServer:
         """Snapshot the whole ledger as a manifest.json — including the
         in-flight ``queued``/``leased``/``running`` states, so ``repro
         campaign status`` works live against a serve directory."""
-        try:
-            write_manifest(
-                self.directory / MANIFEST_FILE,
-                self._manifest_records(),
-                name=self.config.name,
-                code_fingerprint=self._fingerprint,
-            )
-        except OSError:
-            self._count("write_errors")
+        self._effects.manifest_write(
+            self._manifest_records(), self.config.name, self._fingerprint
+        )
         self._manifest_dirty = False
 
     # -- settlement plumbing ------------------------------------------------
     def _settle_success(self, job: JobRow, token: str, text: str, source: str) -> None:
-        payload = _artifact_bytes(text)
-        digest = text_digest(payload)
+        digest = text_digest(artifact_bytes(text))
         settled = self.leases.settle_success(job, token, digest, f"{job.job_id}.txt")
         if not settled.applied:
             # A stale token lost the race: the ledger already moved on,
@@ -390,7 +321,7 @@ class CampaignServer:
             return
         self._ensure_artifact(job.job_id, text)
         if source == "computed":
-            self._cache_put(job, text)
+            self._effects.cache_put(job, job.key, text)
         self._count("completed")
         record = JobRecord(
             job_id=job.job_id,
@@ -403,20 +334,19 @@ class CampaignServer:
             attempts=settled.attempts,
             backoff_s=job.backoff_s,
         )
-        self._journal(record)
+        self._effects.journal_append(record)
         self._manifest_dirty = True
 
     def _settle_failure(
-        self,
-        job: JobRow,
-        token: str,
-        classification: str,
-        error: str,
-        error_type: str,
-        add_kill: bool = False,
+        self, job: JobRow, token: str, outcome: JobOutcome, add_kill: bool = False
     ) -> None:
         settled = self.leases.settle_failure(
-            job, token, classification, error, error_type, add_kill=add_kill
+            job,
+            token,
+            outcome.classification or "transient",
+            outcome.error,
+            outcome.error_type,
+            add_kill=add_kill,
         )
         if not settled.applied:
             self._count("stale_discards")
@@ -426,7 +356,7 @@ class CampaignServer:
             self._count("retries")
             return
         self._count(settled.status)
-        self._journal(
+        self._effects.journal_append(
             JobRecord(
                 job_id=job.job_id,
                 experiment=job.experiment,
@@ -435,7 +365,7 @@ class CampaignServer:
                 source="computed",
                 attempts=settled.attempts,
                 error=settled.error,
-                error_type=error_type,
+                error_type=outcome.error_type,
                 classification=settled.classification,
                 backoff_s=job.backoff_s,
             )
@@ -477,7 +407,7 @@ class CampaignServer:
                 self._count(settled.status)
                 row = self.store.job(settled.key)
                 if row is not None:
-                    self._journal(
+                    self._effects.journal_append(
                         JobRecord(
                             job_id=row.job_id,
                             experiment=row.experiment,
@@ -509,31 +439,20 @@ class CampaignServer:
         broken: List[_Flight] = []
         for token, flight in finished:
             del self._flights[token]
-            try:
-                outcome: JobOutcome = flight.future.result()
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:  # noqa: BLE001
-                if is_broken_pool(exc):
-                    broken.append(flight)
-                    continue
-                outcome = JobOutcome(
-                    job_id=flight.job.job_id,
-                    ok=False,
-                    error=str(exc),
-                    error_type=type(exc).__name__,
-                    classification=classify_failure(exc),
-                )
+            outcome = future_outcome(flight.future, flight.job.job_id)
+            if outcome is None:
+                broken.append(flight)
+                continue
             self._handle_outcome(flight, outcome)
         if broken:
             # A worker death poisons every in-flight future: drain them
             # all now, attribute the kill, and rebuild the pool.
             broken.extend(self._flights.values())
             self._flights.clear()
-            self._rebuild_pool(broken, reason="broken")
+            self._rebuild_pool(broken, "broken", [])
 
     def _handle_outcome(self, flight: _Flight, outcome: JobOutcome) -> None:
-        self._note_chaos_keys(outcome.chaos)
+        self._effects.note_chaos_keys(outcome.chaos)
         if self.tracer is not None:
             self.tracer.complete(
                 SERVE_PID,
@@ -550,52 +469,22 @@ class CampaignServer:
         if outcome.ok:
             self._settle_success(flight.job, flight.token, outcome.text, "computed")
         else:
-            self._settle_failure(
-                flight.job,
-                flight.token,
-                outcome.classification or "transient",
-                outcome.error,
-                outcome.error_type,
-            )
+            self._settle_failure(flight.job, flight.token, outcome)
 
-    def _rebuild_pool(self, casualties: List[_Flight], reason: str) -> None:
-        """Casualty triage + fresh pool — mirrors the batch runner:
-        chaos-attributed victims consume an attempt (and a kill),
-        innocents requeue free of charge."""
+    def _rebuild_pool(
+        self, casualties: List[_Flight], reason: str, bystanders: List[_Flight]
+    ) -> None:
+        """Casualty triage (shared with the batch runner) + fresh pool:
+        chaos-attributed victims consume an attempt (and, for a worker
+        death, a kill); innocents and ``bystanders`` (flights the
+        teardown takes down with them) requeue free of charge."""
         self._count("pool_rebuilds")
-        victims: List[_Flight] = []
-        innocents: List[_Flight] = []
-        if reason == "broken" and self._injector is not None:
-            for flight in casualties:
-                event = self._injector.kill_event(flight.job.job_id, flight.attempt)
-                if event is not None:
-                    self._injector.fire(event)
-                    self._note_chaos_fired(event)
-                    victims.append(flight)
-                else:
-                    innocents.append(flight)
-        if not victims:
-            victims, innocents = casualties, []
-        for flight in victims:
-            if reason == "stuck":
-                deadline = self.config.deadline_s or 0.0
-                error = (
-                    f"job exceeded its {deadline:g}s deadline "
-                    f"(+{self.config.deadline_grace:g}s grace); worker killed"
-                )
-                self._settle_failure(
-                    flight.job, flight.token, "timeout", error, "JobTimeoutError"
-                )
-            else:
-                self._settle_failure(
-                    flight.job,
-                    flight.token,
-                    "crash",
-                    "worker process died mid-job (pool broken)",
-                    "WorkerKilledError",
-                    add_kill=True,
-                )
-        for flight in innocents:
+        victims, innocents = self._effects.triage(casualties, reason)
+        for flight, outcome in victims:
+            self._settle_failure(
+                flight.job, flight.token, outcome, add_kill=reason == "broken"
+            )
+        for flight in innocents + bystanders:
             settled = self.leases.settle_innocent(flight.job, flight.token)
             if settled.applied:
                 self._count("innocent_requeues")
@@ -604,34 +493,15 @@ class CampaignServer:
             self._pool = fresh_pool(self._pool, self.config.jobs)
 
     def _watchdog(self) -> None:
-        if self.config.deadline_s is None or not self._flights:
-            return
-        limit = self.config.deadline_s + self.config.deadline_grace
-        now = self._now()
-        stuck = [
-            token
-            for token, flight in self._flights.items()
-            if now - flight.start > limit
-        ]
+        stuck = self._effects.overdue(self._flights, self._now())
         if not stuck:
             return
         casualties = [self._flights.pop(token) for token in stuck]
-        for flight in casualties:
-            if self._injector is not None:
-                event = self._injector.hang_event(flight.job.job_id, flight.attempt)
-                if event is not None:
-                    self._injector.fire(event)
-                    self._note_chaos_fired(event)
         # The only way to kill a stuck worker is to tear the pool down,
         # which takes the innocents' processes with it.
         survivors = list(self._flights.values())
         self._flights.clear()
-        self._rebuild_pool(casualties, reason="stuck")
-        for flight in survivors:
-            settled = self.leases.settle_innocent(flight.job, flight.token)
-            if settled.applied:
-                self._count("innocent_requeues")
-                self._manifest_dirty = True
+        self._rebuild_pool(casualties, "stuck", survivors)
 
     def _claim(self) -> None:
         if self._pool is None or self._loop is None:
@@ -647,14 +517,15 @@ class CampaignServer:
                 return
             self._manifest_dirty = True
             attempt = job.attempts + 1
-            if self._injector is not None:
-                event = self._injector.server_kill_event(job.job_id, attempt)
+            injector = self._effects.injector
+            if injector is not None:
+                event = injector.server_kill_event(job.job_id, attempt)
                 if event is not None:
                     # The drill moment: the lease is durable, the fired
                     # key is durable, and *then* the server dies.  The
                     # restarted server must requeue this exact job and
                     # never re-fire this event.
-                    self._injector.fire(event)
+                    injector.fire(event)
                     self._note_chaos_fired(event)
                     self._server_kill()
                     return
@@ -664,10 +535,10 @@ class CampaignServer:
                 self._settle_success(job, job.lease_token, text, "cache")
                 continue
             heartbeat = True
-            if self._injector is not None:
-                event = self._injector.heartbeat_loss_event(job.job_id, attempt)
+            if injector is not None:
+                event = injector.heartbeat_loss_event(job.job_id, attempt)
                 if event is not None:
-                    self._injector.fire(event)
+                    injector.fire(event)
                     self._note_chaos_fired(event)
                     heartbeat = False
             self.store.mark_running(job.key, job.lease_token)
@@ -681,7 +552,6 @@ class CampaignServer:
                 attempt,
                 self.config.deadline_s,
                 True,
-                self.config.shards,
             )
             self._flights[job.lease_token] = _Flight(
                 job=job,
@@ -787,7 +657,9 @@ class CampaignServer:
             "backlog": self.store.backlog(),
             "draining": self.draining,
             "chaos_fired": (
-                self._injector.fired_keys() if self._injector is not None else []
+                self._effects.injector.fired_keys()
+                if self._effects.injector is not None
+                else []
             ),
         }
 
@@ -927,7 +799,7 @@ class CampaignServer:
             self._handle_conn, self.config.host, self.config.port
         )
         self.port = server.sockets[0].getsockname()[1]
-        _atomic_write(
+        atomic_write_text(
             self.directory / SERVER_FILE,
             json.dumps(
                 {

@@ -217,36 +217,7 @@ class Cluster:
         :func:`repro.perf.profiling` context enables the same without
         the flag.  Disabled profiling costs nothing: no hook is
         installed and no host clock is read.
-
-        Inside an ambient :func:`repro.pdes.sharding` context the run
-        is served by the sharded parallel-DES engine instead, provided
-        the configuration is one sharding reproduces byte-exactly;
-        anything else (telemetry, faults, hardware collectives,
-        cross-shard link contention, ...) falls back to this engine and
-        is counted by :func:`repro.pdes.fallback_count`.
         """
-        from ..pdes.ambient import active_shards
-
-        ambient_shards = active_shards()
-        if ambient_shards is not None and ambient_shards > 1:
-            from ..pdes.runner import maybe_run_sharded
-
-            sharded = maybe_run_sharded(
-                self,
-                program,
-                args,
-                ambient_shards,
-                {
-                    "sanitize": sanitize,
-                    "trace": trace,
-                    "faults": faults,
-                    "recovery": recovery,
-                    "budget": budget,
-                    "profile": profile,
-                },
-            )
-            if sharded is not None:
-                return sharded
         if faults is not None and self.fault_injector is None:
             from ..faults import FaultInjector, FaultPlan
 

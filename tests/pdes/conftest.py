@@ -4,10 +4,8 @@ Mirrors ``tests/simmpi/conftest.py``: ``REPRO_SANITIZE=1`` forces the
 simulation sanitizer onto every ``Cluster.run`` — the byte-identity
 tests still pass because the sanitizer leaves canonical artifacts
 untouched, and the reference (single-engine) path is exercised with it
-armed.  Tests that assert the ambient sharded path actually *engages*
-opt out with ``@pytest.mark.no_sanitize``: an armed sanitizer is a
-documented fallback trigger, so under it those runs would (correctly)
-fall back to one engine.
+armed.  A test that must run without the sanitizer opts out with
+``@pytest.mark.no_sanitize``.
 """
 
 import os

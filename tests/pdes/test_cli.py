@@ -1,10 +1,10 @@
-"""CLI surface: ``repro pdes list/run`` and ``repro run --shards``."""
+"""CLI surface: ``repro pdes list/run`` and where ``--shards`` is accepted."""
 
 import filecmp
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.pdes.scenarios import scenario_ids
 
 
@@ -56,12 +56,17 @@ def test_pdes_run_bare_skips_artifacts(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_run_shards_flag_reports_policy(capsys):
-    assert main(["run", "table3", "--shards", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "ambient sharding x2" in out
-
-
-def test_run_shards_flag_validated(capsys):
-    assert main(["run", "table3", "--shards", "0"]) == 2
-    assert "--shards must be >= 1" in capsys.readouterr().err
+def test_only_pdes_run_takes_shards(capsys):
+    """Sharding is a ``repro pdes run`` option; the experiment, campaign
+    and service front doors reject ``--shards`` as an unknown flag.
+    (Parsed only, so an accepted flag could never start a server.)"""
+    for argv in (
+        ["run", "table1", "--shards", "2"],
+        ["campaign", "run", "table1", "--shards", "2"],
+        ["serve", "start", "--shards", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
+    assert main(["pdes", "run", "torus-ring", "--shards", "2"]) == 0

@@ -24,6 +24,15 @@ def post_spec(server, jobs, name="camp"):
     return server._route(Request("POST", "/v1/campaigns", body=body))
 
 
+def manifest_jobs(server):
+    """``(job_id, status)`` pairs of a parseable manifest.json, else None."""
+    try:
+        doc = json.loads((server.directory / "manifest.json").read_text())
+    except (OSError, ValueError):
+        return None
+    return [(j["job_id"], j["status"]) for j in doc["jobs"]]
+
+
 def wait_for(predicate, timeout=30.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -187,6 +196,30 @@ def test_heartbeat_loss_expires_the_lease_and_retries(tmp_path):
         assert stats["counters"].get("stale_discards", 0) >= 1
     finally:
         handle.stop()
+
+
+def test_torn_manifest_fires_once_and_a_later_tick_rewrites_it(tmp_path):
+    """A ``stream=manifest`` write fault fires on the server's first
+    manifest write, exactly once; the next write after a job settles
+    leaves a valid manifest.json again."""
+    plan = ChaosPlan(
+        seed=0, events=(ChaosEvent(kind="torn", stream="manifest"),)
+    )
+    server = make_server(tmp_path, jobs=1, chaos=plan)
+    handle = server.start_background()
+    try:
+        client = ServeClient("127.0.0.1", server.port)
+        doc = client.submit({"name": "torn", "jobs": ["table1"]})
+        final = client.wait(doc["campaign"], timeout=60)
+        assert final["done"] is True
+        stats = client.stats()
+        assert stats["counters"]["chaos_torn"] == 1
+        assert "torn:manifest:" in stats["chaos_fired"]
+        # the dispatch loop rewrites the manifest while still serving
+        assert wait_for(lambda: manifest_jobs(server) == [("table1", "done")])
+    finally:
+        handle.stop()
+    assert server.counters["chaos_torn"] == 1
 
 
 def test_server_kill_fires_once_and_restart_recovers(tmp_path):
